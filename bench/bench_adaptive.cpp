@@ -46,7 +46,6 @@
 #include "ingest/streaming.hpp"
 #include "ingest/transform.hpp"
 #include "ingest/verify.hpp"
-#include "scale/buffer_manager.hpp"
 #include "serve/server.hpp"
 
 namespace {
@@ -181,19 +180,7 @@ int run_trace_mode(const std::string& path, const std::string& predictor, std::s
   // (flat-dialect files need not be time-sorted on disk).
   const auto budget = std::max<std::size_t>(
       1, static_cast<std::size_t>(std::ceil(adaptive.stats.avg_buffers())));
-  std::vector<std::vector<std::int64_t>> senders_by_rank(static_cast<std::size_t>(nranks));
-  for (const engine::Event& event : events) {
-    senders_by_rank[static_cast<std::size_t>(event.destination)].push_back(event.source);
-  }
-  std::int64_t lru_hits = 0;
-  std::int64_t lru_messages = 0;
-  for (const auto& senders : senders_by_rank) {
-    const auto lru = scale::replay_lru_buffers(senders, budget);
-    lru_hits += lru.hits;
-    lru_messages += lru.messages;
-  }
-  const double lru_rate =
-      lru_messages == 0 ? 0.0 : static_cast<double>(lru_hits) / static_cast<double>(lru_messages);
+  const double lru_rate = ingest::replay_lru_buffers(events, budget).hit_rate();
 
   std::printf("  static per-peer : %4.1f buffers/process (%6.1f KiB), hit-rate 100.0%%\n",
               static_cast<double>(nranks - 1), static_cast<double>(nranks - 1) * 16.0);
@@ -311,9 +298,10 @@ int main(int argc, char** argv) {
     }
     // Wrapper-vs-session gate over the same physical arrival stream the
     // adaptive loop predicts on.
-    const bool serve_ok = serve_matches_engine(
-        engine::events_from_trace(baseline.world->traces(), trace::Level::Physical),
-        engine::EngineConfig{.predictor = arg.name});
+    const auto physical =
+        engine::events_from_trace(baseline.world->traces(), trace::Level::Physical);
+    const bool serve_ok =
+        serve_matches_engine(physical, engine::EngineConfig{.predictor = arg.name});
     if (!serve_ok) {
       std::printf("%s: SERVE GATE FAILED — session report differs from the engine's\n",
                   label.c_str());
@@ -322,21 +310,11 @@ int main(int argc, char** argv) {
     deterministic = deterministic && case_deterministic;
 
     // Prediction-free yardstick: LRU buffers at the adaptive policy's own
-    // mean budget, replayed over every rank's physical sender stream of
-    // the static run.
+    // mean budget, replayed over every rank's physical arrivals of the
+    // static run.
     const auto budget = std::max<std::size_t>(
         1, static_cast<std::size_t>(std::ceil(adaptive.policy.avg_buffers())));
-    std::int64_t lru_hits = 0;
-    std::int64_t lru_messages = 0;
-    for (int rank = 0; rank < procs; ++rank) {
-      const auto streams =
-          trace::extract_streams(baseline.world->traces(), rank, trace::Level::Physical);
-      const auto lru = scale::replay_lru_buffers(streams.senders, budget);
-      lru_hits += lru.hits;
-      lru_messages += lru.messages;
-    }
-    const double lru_rate =
-        lru_messages == 0 ? 0.0 : static_cast<double>(lru_hits) / static_cast<double>(lru_messages);
+    const double lru_rate = ingest::replay_lru_buffers(physical, budget).hit_rate();
 
     const auto round_trips = [](const mpi::detail::EndpointCounters& c) {
       return c.rendezvous_received;

@@ -42,7 +42,6 @@
 #include "bench/bench_util.hpp"
 #include "bench/json_writer.hpp"
 #include "mpi/world.hpp"
-#include "scale/report.hpp"
 #include "trace/store.hpp"
 
 namespace {
@@ -211,10 +210,9 @@ int main(int argc, char** argv) {
     start = comma + 1;
   }
 
-  // The nominal fallback round-trip mirrors the trace-driven replays'
-  // first-order model (scale::LatencyModel): two control crossings, no
-  // data leg.
-  const scale::LatencyModel replay_model{.latency_ns = static_cast<double>(fallback_ns)};
+  // The nominal fallback round-trip: Network::plan_fallback charges two
+  // fallback_cost crossings (ask, grant) before skew and jitter.
+  const double nominal_rtt_ns = 2.0 * static_cast<double>(fallback_ns);
 
   std::printf("adaptive speedup: %d ranks, class A, %zu repetitions per configuration "
               "(sim seeds %llu..%llu)\n",
@@ -223,7 +221,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(kBaseSeed + nseeds - 1));
   std::printf("(fallback cost %lld ns/crossing — nominal round-trip %.0f ns; per-stream "
               "credits live; speedup vs static per-peer, median [p10, p90] over seeds)\n\n",
-              static_cast<long long>(fallback_ns), replay_model.fallback_rtt_ns());
+              static_cast<long long>(fallback_ns), nominal_rtt_ns);
 
   bench::JsonWriter json;
   json.begin_object();

@@ -2,16 +2,35 @@
 // 16KB buffer for each other process ... 10000 nodes ... 160MB of memory
 // per process." With sender prediction the receiver only keeps buffers for
 // the peers about to send; mispredictions fall back to the slow
-// ask-permission path. Replays real physical traces under the three
-// policies and extrapolates the per-process memory to large machines.
+// ask-permission path. Replays real physical traces through
+// ingest::replay_adaptive, compares them with all-pairs allocation (a
+// closed form), prices both with the simulated network's first-order
+// model, and extrapolates the per-process memory to large machines.
 
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
-#include "scale/buffer_manager.hpp"
+#include "ingest/replay.hpp"
+
+namespace {
+
+using namespace mpipred;
+
+/// Mean first-order latency per message when hits go direct and misses
+/// ask first, every message `bytes` long.
+double mean_latency_ns(const adaptive::PolicyStats& s, const sim::NetworkConfig& net,
+                       std::int64_t bytes) {
+  if (s.messages == 0) {
+    return 0.0;
+  }
+  return (static_cast<double>(s.prepost_hits) * net.direct_ns(bytes) +
+          static_cast<double>(s.prepost_misses) * net.handshake_ns(bytes)) /
+         static_cast<double>(s.messages);
+}
+
+}  // namespace
 
 int main() {
-  using namespace mpipred;
   std::printf("§2.1 — buffer memory: all-pairs vs prediction-driven (physical traces)\n\n");
   std::printf("%-12s %10s %10s %10s %12s %12s %10s\n", "config", "hit-rate%", "buffers",
               "peak-buf", "mem-bytes", "allpairs-B", "latencyx");
@@ -20,23 +39,27 @@ int main() {
     const char* app;
     int procs;
   };
+  const adaptive::RuntimeConfig rt = bench::buffer_replay_config();
+  const auto buffer_bytes = static_cast<double>(rt.policy.buffer_bytes);
   for (const auto& [app, procs] : {Case{"bt", 16}, Case{"bt", 25}, Case{"lu", 32},
                                    Case{"cg", 32}, Case{"sweep3d", 32}}) {
     auto run = bench::run_traced(app, procs);
     const int rep = trace::representative_rank(run.world->traces(), trace::Level::Physical);
-    const auto streams = trace::extract_streams(run.world->traces(), rep, trace::Level::Physical,
-                                                {.kind = trace::OpKind::PointToPoint});
-    const auto cmp = scale::compare_buffer_policies(streams.senders, procs);
-    const scale::LatencyModel model;
-    const double mean_bytes = 4096;
+    const auto events = engine::events_from_rank(run.world->traces(), rep, trace::Level::Physical,
+                                                 {.kind = trace::OpKind::PointToPoint});
+    const adaptive::PolicyStats predicted = ingest::replay_adaptive(events, rt).stats;
+    const adaptive::PolicyStats all_pairs =
+        ingest::all_pairs_buffers(static_cast<std::int64_t>(events.size()), procs);
+    const sim::NetworkConfig& net = run.world->config().engine.network;
+    const std::int64_t mean_bytes = 4096;
     std::printf("%-12s %10.1f %10.1f %10lld %12.0f %12lld %10.2f\n",
                 (std::string(app) + "." + std::to_string(procs)).c_str(),
-                bench::pct(cmp.predicted.hit_rate()), cmp.predicted.avg_buffers,
-                static_cast<long long>(cmp.predicted.peak_buffers),
-                cmp.predicted.avg_memory_bytes(),
-                static_cast<long long>(cmp.all_pairs.peak_memory_bytes()),
-                cmp.predicted.mean_latency_ns(model, mean_bytes) /
-                    cmp.all_pairs.mean_latency_ns(model, mean_bytes));
+                bench::pct(predicted.hit_rate()), predicted.avg_buffers(),
+                static_cast<long long>(predicted.peak_buffers),
+                predicted.avg_buffers() * buffer_bytes,
+                static_cast<long long>(all_pairs.peak_buffers * rt.policy.buffer_bytes),
+                mean_latency_ns(predicted, net, mean_bytes) /
+                    mean_latency_ns(all_pairs, net, mean_bytes));
     std::fflush(stdout);
   }
 

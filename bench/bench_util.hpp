@@ -15,6 +15,7 @@
 #include <string_view>
 #include <vector>
 
+#include "adaptive/config.hpp"
 #include "apps/app.hpp"
 #include "apps/registry.hpp"
 #include "common/error.hpp"
@@ -49,6 +50,15 @@ inline TracedRun run_traced(const std::string& app, int procs,
 }
 
 inline double pct(double x) { return 100.0 * x; }
+
+/// §2.1 buffer what-if settings for ingest::replay_adaptive: the live
+/// loop's horizon 8 (the predicted set must cover every frequent sender of
+/// a window — BT has up to 6) with an LRU tail of 3.
+inline adaptive::RuntimeConfig buffer_replay_config() {
+  adaptive::RuntimeConfig rt;
+  rt.policy.lru_keep = 3;
+  return rt;
+}
 
 /// Per-(app, procs) cell of Figures 3/4, routed through the prediction
 /// engine: the representative process's arrivals are demultiplexed and

@@ -1,7 +1,7 @@
 // §2.1 scenario: plan receive buffers from predictions. Runs BT on 16
-// simulated processes, takes one process's *physical* sender stream, and
-// replays it through the prediction-driven buffer manager, comparing the
-// memory footprint and slow-path rate against all-pairs pre-allocation.
+// simulated processes, takes one process's *physical* arrivals, and
+// replays them through ingest::replay_adaptive, comparing the memory
+// footprint and slow-path rate against all-pairs pre-allocation.
 //
 //   $ ./examples/buffer_planner [procs]    (default 16, must be a square)
 
@@ -9,10 +9,10 @@
 #include <cstdlib>
 
 #include "apps/app.hpp"
+#include "bench/bench_util.hpp"
+#include "ingest/replay.hpp"
 #include "mpi/world.hpp"
-#include "scale/buffer_manager.hpp"
 #include "trace/stats.hpp"
-#include "trace/stream.hpp"
 
 int main(int argc, char** argv) {
   using namespace mpipred;
@@ -27,24 +27,29 @@ int main(int argc, char** argv) {
   (void)apps::run_bt(world, apps::AppConfig{.problem_class = apps::ProblemClass::A});
 
   const int rank = trace::representative_rank(world.traces(), trace::Level::Physical);
-  const auto streams = trace::extract_streams(world.traces(), rank, trace::Level::Physical,
-                                              {.kind = trace::OpKind::PointToPoint});
-  const auto cmp = scale::compare_buffer_policies(streams.senders, procs);
+  const auto events = engine::events_from_rank(world.traces(), rank, trace::Level::Physical,
+                                               {.kind = trace::OpKind::PointToPoint});
+  const adaptive::RuntimeConfig rt = bench::buffer_replay_config();
+  const auto messages = static_cast<std::int64_t>(events.size());
+  const adaptive::PolicyStats all_pairs = ingest::all_pairs_buffers(messages, procs);
+  const adaptive::PolicyStats predicted = ingest::replay_adaptive(events, rt).stats;
+  const adaptive::PolicyStats none{.messages = messages, .prepost_misses = messages};
 
-  const auto print = [](const scale::BufferPolicyReport& r) {
-    std::printf("  %-12s hit-rate %5.1f%%  avg buffers %5.1f  peak %3lld  avg memory %8.0f B\n",
-                r.policy.c_str(), 100.0 * r.hit_rate(), r.avg_buffers,
-                static_cast<long long>(r.peak_buffers), r.avg_memory_bytes());
+  const auto avg_memory = [&](const adaptive::PolicyStats& s) {
+    return s.avg_buffers() * static_cast<double>(rt.policy.buffer_bytes);
   };
-  std::printf("process %d received %zu point-to-point messages\n", rank, streams.length());
-  print(cmp.all_pairs);
-  print(cmp.predicted);
-  print(cmp.none);
+  const auto print = [&](const char* policy, const adaptive::PolicyStats& s) {
+    std::printf("  %-12s hit-rate %5.1f%%  avg buffers %5.1f  peak %3lld  avg memory %8.0f B\n",
+                policy, 100.0 * s.hit_rate(), s.avg_buffers(),
+                static_cast<long long>(s.peak_buffers), avg_memory(s));
+  };
+  std::printf("process %d received %zu point-to-point messages\n", rank, events.size());
+  print("all-pairs", all_pairs);
+  print("predicted", predicted);
+  print("none", none);
 
   std::printf("\nmemory saved by prediction: %.1f%% (at %d processes; the gap widens\n"
               "linearly with machine size — that is §2.1's argument)\n",
-              100.0 * (1.0 - cmp.predicted.avg_memory_bytes() /
-                                 cmp.all_pairs.avg_memory_bytes()),
-              procs);
+              100.0 * (1.0 - avg_memory(predicted) / avg_memory(all_pairs)), procs);
   return 0;
 }

@@ -29,12 +29,16 @@
 //                            [--export-trace <path>] [--trace <file>]
 //                            [--batch-events <n>] [--window <t0>:<t1>]
 //                            [--remap-ranks <spec>] [--emit-metrics <file>]
-//                            [--emit-trace-events <file>]
+//                            [--emit-trace-events <file>] [--help]
 //     (default: cg 8 --predictor dpd --shards 0 = one per hardware thread)
+//
+// Exit codes: 0 ok, 1 usage or input error (an unknown app included), 2 a
+// determinism gate failed.
 
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "apps/app.hpp"
@@ -213,9 +217,25 @@ int replay_trace(const std::string& path, const engine::EngineConfig& cfg,
   return 0;
 }
 
+constexpr const char* kUsage =
+    "usage: predict_nas [app] [procs] [--predictor <name>] [--shards <n>]\n"
+    "                   [--export-trace <path>] [--trace <file>]\n"
+    "                   [--batch-events <n>] [--window <t0>:<t1>]\n"
+    "                   [--remap-ranks <spec>] [--emit-metrics <file>]\n"
+    "                   [--emit-trace-events <file>] [--list-predictors] [--help]\n"
+    "  app: bt, cg, lu, is or sweep3d (default: cg 8 --predictor dpd --shards 0 =\n"
+    "  one per hardware thread)\n"
+    "exit codes: 0 ok, 1 usage or input error, 2 a determinism gate failed\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::string_view(argv[i]) == "--help" || std::string_view(argv[i]) == "-h") {
+      std::printf("%s", kUsage);
+      return 0;
+    }
+  }
   auto predictor_arg = engine::predictor_arg_or_exit(argc, argv);
   const std::string& predictor = predictor_arg.name;
   const std::size_t shards = bench::shards_flag(predictor_arg.rest);
@@ -256,7 +276,14 @@ int main(int argc, char** argv) {
     procs = std::atoi(predictor_arg.rest[1].c_str());
   }
 
-  const auto& info = apps::find_app(app);
+  const apps::AppInfo* found = nullptr;
+  try {
+    found = &apps::find_app(app);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
+  const apps::AppInfo& info = *found;
   if (!info.supports(procs)) {
     std::printf("%s does not support %d processes\n", app.c_str(), procs);
     return 1;

@@ -5,10 +5,12 @@
 //   $ ./examples/trace_export [path]   (default: ./is8_trace.csv)
 
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "apps/app.hpp"
 #include "core/periodogram.hpp"
+#include "ingest/source.hpp"
 #include "mpi/world.hpp"
 #include "trace/csv.hpp"
 #include "trace/stats.hpp"
@@ -26,13 +28,21 @@ int main(int argc, char** argv) {
     trace::write_csv_file(path, world.traces());
   }
 
-  // A different process (or a later analysis session) reloads the CSV.
-  const trace::TraceStore store = trace::read_csv_file(path, kProcs);
+  // A different process (or a later analysis session) reloads the CSV
+  // through the ingest boundary; the rank count comes from the file.
+  std::unique_ptr<ingest::TraceSource> source;
+  try {
+    source = ingest::open_trace(path);
+  } catch (const ingest::IngestError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
+  const trace::TraceStore& store = *source->store();
   std::printf("reloaded %zu logical + %zu physical records\n\n",
               store.total_records(trace::Level::Logical),
               store.total_records(trace::Level::Physical));
 
-  for (int rank = 0; rank < kProcs; rank += 3) {
+  for (int rank = 0; rank < store.nranks(); rank += 3) {
     const auto streams = trace::extract_streams(store, rank, trace::Level::Logical);
     const auto pg = core::compute_periodogram(streams.senders, 64);
     const auto fundamental = pg.fundamental_period();

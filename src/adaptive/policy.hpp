@@ -5,9 +5,10 @@
 // pre-posted eager receive buffer, (b) whether a large message may skip
 // the rendezvous handshake, (c) which per-stream credits the receiver
 // grants. One policy object serves both the live simulated library
-// (mpi::detail::Endpoint consults it per message) and the trace-driven
-// what-if replays in src/scale/, so bench numbers and runtime behavior can
-// never drift apart.
+// (mpi::detail::Endpoint consults it per message) and the one trace replay
+// driver, ingest::replay_adaptive (the `--trace` consumers and the §2
+// what-if benches), so bench numbers and runtime behavior can never drift
+// apart.
 
 #include <cstdint>
 #include <vector>

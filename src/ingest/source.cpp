@@ -78,17 +78,26 @@ std::vector<std::string> TraceFormatRegistry::names() const {
 namespace {
 
 /// First non-empty, non-comment line with any trailing '\r' removed — the
-/// probe every format's `matches` sees. Empty when the stream has none.
-std::string first_meaningful_line(std::istream& is) {
-  std::string line;
-  while (std::getline(is, line)) {
-    if (!line.empty() && line.back() == '\r') {
-      line.pop_back();
+/// probe every format's `matches` sees — and its 1-based line number.
+/// Empty text and line 0 when the stream has none.
+struct Probe {
+  std::string text;
+  std::size_t line = 0;
+};
+
+Probe first_meaningful_line(std::istream& is) {
+  Probe probe;
+  std::size_t lineno = 0;
+  while (std::getline(is, probe.text)) {
+    ++lineno;
+    if (!probe.text.empty() && probe.text.back() == '\r') {
+      probe.text.pop_back();
     }
-    if (line.empty() || line.front() == '#') {
+    if (probe.text.empty() || probe.text.front() == '#') {
       continue;
     }
-    return line;
+    probe.line = lineno;
+    return probe;
   }
   return {};
 }
@@ -97,16 +106,16 @@ std::string first_meaningful_line(std::istream& is) {
 
 namespace {
 
-[[noreturn]] void throw_unknown_format(const std::vector<TraceFormat>& formats,
-                                       const std::string& probe, const std::string& file) {
+[[noreturn]] void throw_unknown_format(const std::vector<TraceFormat>& formats, const Probe& probe,
+                                       const std::string& file) {
   std::string known;
   for (const TraceFormat& f : formats) {
     known += (known.empty() ? "" : ", ") + f.name;
   }
   throw IngestError({.file = file,
-                     .line = 0,
+                     .line = probe.line,
                      .field = {},
-                     .reason = "no registered trace format matches header '" + probe +
+                     .reason = "no registered trace format matches header '" + probe.text +
                                "' (known formats: " + known + ")"});
 }
 
@@ -114,7 +123,7 @@ namespace {
 
 std::unique_ptr<TraceSource> TraceFormatRegistry::open(std::istream& is,
                                                        const std::string& file) const {
-  const std::string probe = first_meaningful_line(is);
+  const Probe probe = first_meaningful_line(is);
   is.clear();
   is.seekg(0);
   if (!is) {
@@ -124,7 +133,7 @@ std::unique_ptr<TraceSource> TraceFormatRegistry::open(std::istream& is,
                        .reason = "stream is not seekable (cannot rewind probe)"});
   }
   for (const TraceFormat& f : formats_) {
-    if (f.matches(probe)) {
+    if (f.matches(probe.text)) {
       return f.open(is, file);
     }
   }
@@ -137,9 +146,9 @@ std::unique_ptr<EventStream> TraceFormatRegistry::open_stream(const std::string&
   if (!is) {
     throw IngestError({.file = path, .line = 0, .field = {}, .reason = "cannot open for reading"});
   }
-  const std::string probe = first_meaningful_line(is);
+  const Probe probe = first_meaningful_line(is);
   for (const TraceFormat& f : formats_) {
-    if (!f.matches(probe)) {
+    if (!f.matches(probe.text)) {
       continue;
     }
     if (f.open_stream) {

@@ -53,6 +53,19 @@ struct NetworkConfig {
   /// real machine exhibits. 0 disables it (default), keeping the
   /// noise-free identity physical order == logical order.
   double path_skew = 0.0;
+
+  /// First-order price of a message of `bytes` that goes out directly (a
+  /// pre-allocated buffer, a credit, an elided rendezvous): one wire
+  /// latency plus serialization, no overheads, skew or jitter. The §2
+  /// what-if replays price every decision with this and handshake_ns.
+  [[nodiscard]] double direct_ns(std::int64_t bytes) const noexcept {
+    return to_ns(latency) + static_cast<double>(bytes) * gap_ns_per_byte;
+  }
+  /// The same message when it must first ask permission (paper section
+  /// 2): the request and grant crossings add two latencies.
+  [[nodiscard]] double handshake_ns(std::int64_t bytes) const noexcept {
+    return direct_ns(bytes) + 2.0 * to_ns(latency);
+  }
 };
 
 /// Engine-level configuration.

@@ -92,7 +92,10 @@ TEST(CsvSource, DiagnosticsNameFileLineFieldAndReason) {
       {"-1,0,1,2,3,0,0", "rank"},     // negative receiver rank
       {"0,0,1,-2,3,0,0", "sender"},   // below kUnresolvedSender
       {"0,0,xx,2,3,0,0", "time_ns"},  // malformed integer
+      {"x,0,1,2,3,0,0", "rank"},      //
+      {"0,0,1,2,3.5,0,0", "bytes"},   // non-integer
       {"0,0,1,2,-3,0,0", "bytes"},    // negative byte count
+      {"0,0,1,2,3,0,12", "op"},       // one past the last op
   };
   for (const auto& c : corpus) {
     const Diagnostic d = reject(std::string(kNative) + c.line + "\n");
@@ -104,6 +107,19 @@ TEST(CsvSource, DiagnosticsNameFileLineFieldAndReason) {
   const Diagnostic short_line = reject(std::string(kNative) + "0,0,1,2\n");
   EXPECT_EQ(short_line.line, 2u);
   EXPECT_NE(short_line.reason.find("expected 7"), std::string::npos);
+
+  // A bad header names the line it sits on, after any preamble.
+  for (const char* header : {"rank,level,time_ns,sender,bytes,kind\n", "not,a,header\n"}) {
+    const Diagnostic d = reject(std::string("# nranks: 2\n") + header + "0,0,1,2,3,0,0\n");
+    EXPECT_EQ(d.line, 2u) << header;
+    EXPECT_NE(d.reason.find("header"), std::string::npos) << header;
+  }
+  // A rank outside the declared [0, nranks).
+  for (const char* rank : {"2", "1000"}) {
+    const Diagnostic d = reject(std::string("# nranks: 2\n") + kNative + rank + ",0,1,0,3,0,0\n");
+    EXPECT_EQ(d.line, 3u) << rank;
+    EXPECT_EQ(d.field, "rank") << rank;
+  }
 }
 
 TEST(CsvSource, ToStringFormatsEditorFriendlyLocation) {
@@ -263,12 +279,219 @@ TEST(AdaptiveReplay, SummaryDeterministicAcrossShardCounts) {
   EXPECT_TRUE(swept.deterministic) << swept.mismatch;
   EXPECT_TRUE(swept.mismatch.empty());
   EXPECT_NE(swept.replay.summary().find("messages="), std::string::npos);
+  EXPECT_EQ(swept.replay.summary().find("credit_hits="), std::string::npos);
+  EXPECT_FALSE(swept.replay.credits.has_value());
   EXPECT_GT(swept.replay.stats.messages, 0);
 
   // The swept reference is the plain replay at its first shard count.
   adaptive::RuntimeConfig cfg;
   cfg.service.engine.shards = 1;
   EXPECT_EQ(replay_adaptive(events, cfg).summary(), swept.replay.summary());
+
+  // Per-stream credit counts join the summary, so the sweep compares them.
+  cfg.per_stream_credits = true;
+  const SweptReplay credits = replay_adaptive_swept(events, cfg, shard_counts);
+  EXPECT_TRUE(credits.deterministic) << credits.mismatch;
+  EXPECT_NE(credits.replay.summary().find("credit_hits="), std::string::npos);
+  ASSERT_TRUE(credits.replay.credits.has_value());
+  EXPECT_EQ(credits.replay.credits->hits + credits.replay.credits->misses,
+            credits.replay.stats.messages);
+  EXPECT_GT(credits.replay.credits->hits, 0);
+  // Scoring credits reads the policy but never steers it.
+  EXPECT_EQ(credits.replay.stats.messages, swept.replay.stats.messages);
+  EXPECT_EQ(credits.replay.stats.prepost_hits, swept.replay.stats.prepost_hits);
+  EXPECT_EQ(credits.replay.stats.rendezvous_elided, swept.replay.stats.rendezvous_elided);
+}
+
+// The §2 what-ifs: one receiver's arrivals replayed under each mechanism's
+// settings.
+
+/// One receiver (rank 0) hearing `senders` with `sizes`, both cycled to `n`.
+std::vector<engine::Event> arrivals(std::initializer_list<std::int32_t> senders,
+                                    std::initializer_list<std::int64_t> sizes, std::size_t n) {
+  const std::vector<std::int32_t> s(senders);
+  const std::vector<std::int64_t> b(sizes);
+  std::vector<engine::Event> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    out.push_back(
+        {.source = s[i % s.size()], .destination = 0, .tag = 0, .bytes = b[i % b.size()]});
+  }
+  return out;
+}
+
+/// Deterministic pseudo-random value for aperiodic streams (splitmix64).
+std::uint64_t mix(std::uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
+adaptive::RuntimeConfig buffer_config() {
+  adaptive::RuntimeConfig rt;  // horizon 8
+  rt.policy.lru_keep = 3;
+  return rt;
+}
+
+adaptive::RuntimeConfig credit_config() {
+  adaptive::RuntimeConfig rt;
+  rt.service.engine = engine::EngineConfig{};
+  rt.per_stream_credits = true;
+  return rt;
+}
+
+adaptive::RuntimeConfig rendezvous_config(std::int64_t threshold) {
+  adaptive::RuntimeConfig rt;
+  rt.service.engine = engine::EngineConfig{};
+  rt.policy.rendezvous_threshold_bytes = threshold;
+  return rt;
+}
+
+TEST(AdaptiveReplay, PeriodicSendersNeedFewBuffers) {
+  // A 32-rank world, but the receiver only hears from 4 peers in a cycle:
+  // the predicted plan sits near 4 buffers at a high hit rate, while
+  // all-pairs allocation burns 31.
+  const auto events = arrivals({3, 9, 17, 25}, {0}, 4000);
+  const adaptive::PolicyStats predicted = replay_adaptive(events, buffer_config()).stats;
+  const adaptive::PolicyStats all_pairs = all_pairs_buffers(4000, 32);
+  EXPECT_EQ(all_pairs.peak_buffers, 31);
+  EXPECT_DOUBLE_EQ(all_pairs.hit_rate(), 1.0);
+  EXPECT_DOUBLE_EQ(all_pairs.avg_buffers(), 31.0);
+
+  EXPECT_GT(predicted.hit_rate(), 0.95);
+  EXPECT_LE(predicted.peak_buffers, 6);
+  EXPECT_LT(predicted.avg_buffers(), 0.25 * all_pairs.avg_buffers());
+}
+
+TEST(AdaptiveReplay, PredictableStreamsGetCreditsWithBoundedMemory) {
+  const AdaptiveReplay replay = replay_adaptive(
+      arrivals({1, 2, 3, 4}, {512, 1024, 512, 2048}, 2000), credit_config());
+  ASSERT_TRUE(replay.credits.has_value());
+  EXPECT_GT(replay.credits->hit_rate(), 0.95);
+  // One credit per flow: the pledge stays near the four flows' sizes.
+  EXPECT_LT(replay.credits->peak_pledged_bytes, 16 * 1024);
+}
+
+TEST(AdaptiveReplay, CreditHitsRequireEnoughBytes) {
+  // One sender alternating a small and a large size: a credit covers the
+  // large message only when the period-2 size stream is predicted.
+  const AdaptiveReplay periodic =
+      replay_adaptive(arrivals({1}, {100, 10000}, 600), credit_config());
+  ASSERT_TRUE(periodic.credits.has_value());
+  EXPECT_GT(periodic.credits->hit_rate(), 0.9);
+  EXPECT_LE(periodic.credits->peak_pledged_bytes, 10 * 1024);
+
+  // A steady 1000-byte flow with isolated, aperiodic 50000-byte bursts: the
+  // flow holds a credit for about 1000 bytes, which no burst may ride.
+  std::vector<engine::Event> bursty;
+  std::int64_t bursts = 0;
+  for (std::uint64_t i = 0; i < 600; ++i) {
+    const bool burst = mix(i) % 10 == 0 && (bursty.empty() || bursty.back().bytes != 50'000);
+    bursts += burst ? 1 : 0;
+    bursty.push_back({.source = 1, .destination = 0, .tag = 0, .bytes = burst ? 50'000 : 1000});
+  }
+  ASSERT_GT(bursts, 20);
+  const AdaptiveReplay replay = replay_adaptive(bursty, credit_config());
+  EXPECT_LE(replay.credits->hits, 600 - bursts);
+  EXPECT_GT(replay.credits->hit_rate(), 0.5);
+}
+
+TEST(AdaptiveReplay, UnpredictableStreamDegradesToAsking) {
+  std::vector<engine::Event> events;
+  for (std::uint64_t i = 0; i < 400; ++i) {
+    const std::uint64_t x = mix(i * 0x9E3779B97F4A7C15ULL + 17);
+    events.push_back({.source = static_cast<std::int32_t>(x % 13),
+                      .destination = 0,
+                      .tag = 0,
+                      .bytes = static_cast<std::int64_t>((x >> 8) % 7 + 1) * 100});
+  }
+  const AdaptiveReplay replay = replay_adaptive(events, credit_config());
+  EXPECT_LT(replay.credits->hit_rate(), 0.5);
+  EXPECT_EQ(replay.credits->hits + replay.credits->misses, 400);
+
+  // Pre-posted buffers degrade the same way: aperiodic senders among 23
+  // peers mostly miss, and every arrival is still accounted.
+  std::vector<engine::Event> senders;
+  for (std::uint64_t i = 0; i < 500; ++i) {
+    senders.push_back({.source = static_cast<std::int32_t>(mix(i + 0x9E3779B97F4A7C15ULL) % 23),
+                       .destination = 0,
+                       .tag = 0,
+                       .bytes = 0});
+  }
+  const adaptive::PolicyStats buffers = replay_adaptive(senders, buffer_config()).stats;
+  EXPECT_EQ(buffers.prepost_hits + buffers.prepost_misses, 500);
+  EXPECT_LE(buffers.hit_rate(), 0.7);
+}
+
+TEST(AdaptiveReplay, UnderpredictedSizesAreNotElided) {
+  // Every message is rendezvous-sized but its size is aperiodic: a
+  // predicted smaller size must not elide the larger message.
+  std::vector<engine::Event> events;
+  for (std::int64_t i = 0; i < 300; ++i) {
+    events.push_back(
+        {.source = 1, .destination = 0, .tag = 0, .bytes = 20'000 + (i * i * 997) % 50'000});
+  }
+  const adaptive::PolicyStats stats = replay_adaptive(events, rendezvous_config(16 * 1024)).stats;
+  EXPECT_EQ(stats.rendezvous_sends + stats.rendezvous_elided, 300);
+  EXPECT_LT(stats.elision_rate(), 0.1);
+
+  // The same sizes on a period: predicted exactly, so mostly elided.
+  const adaptive::PolicyStats periodic =
+      replay_adaptive(arrivals({1, 2, 3, 7}, {1024, 1024, 1024, 64 * 1024}, 2000),
+                      rendezvous_config(16 * 1024))
+          .stats;
+  EXPECT_EQ(periodic.rendezvous_sends + periodic.rendezvous_elided, 500);
+  EXPECT_GT(periodic.elision_rate(), 0.95);
+}
+
+TEST(AdaptiveReplay, ThresholdIsRespected) {
+  const adaptive::PolicyStats stats =
+      replay_adaptive(arrivals({1}, {30'000}, 200), rendezvous_config(64 * 1024)).stats;
+  EXPECT_EQ(stats.eager_sends, 200);
+  EXPECT_EQ(stats.rendezvous_sends + stats.rendezvous_elided, 0);
+  EXPECT_EQ(stats.elision_rate(), 0.0);
+}
+
+TEST(AdaptiveReplay, EmptyReplaysReadAllZeros) {
+  // Regression: all-pairs once reported nranks - 1 resident buffers for a
+  // replay of 0 messages.
+  const std::vector<engine::Event> none;
+  const AdaptiveReplay replay = replay_adaptive(none, credit_config());
+  EXPECT_EQ(replay.summary(),
+            "messages=0 hits=0 misses=0 avg_buffers=0.000000 peak_buffers=0 eager=0 "
+            "rendezvous=0 elided=0 credit_hits=0 credit_misses=0 pledged_peak=0");
+  EXPECT_EQ(replay.stats.hit_rate(), 0.0);
+  EXPECT_EQ(replay.stats.elision_rate(), 0.0);
+  EXPECT_EQ(replay.credits->hit_rate(), 0.0);
+  for (const adaptive::PolicyStats& s : {all_pairs_buffers(0, 8), replay_lru_buffers(none, 4)}) {
+    EXPECT_EQ(s.messages, 0);
+    EXPECT_EQ(s.peak_buffers, 0);
+    EXPECT_EQ(s.hit_rate(), 0.0);
+    EXPECT_EQ(s.avg_buffers(), 0.0);
+  }
+}
+
+TEST(AdaptiveReplay, RegistryPredictorDrivesTheReplay) {
+  adaptive::RuntimeConfig rt = buffer_config();
+  rt.service.engine.predictor = "last-value";
+  const auto constant = arrivals({4}, {0}, 400);
+  EXPECT_GT(replay_adaptive(constant, rt).stats.hit_rate(), 0.9);
+  rt.service.engine.predictor = "no-such-predictor";
+  EXPECT_THROW((void)replay_adaptive(constant, rt), UsageError);
+}
+
+TEST(AdaptiveReplay, LruYardstickKeepsRecentSendersPerReceiver) {
+  // Two receivers interleaved, each cycling over 3 senders: an LRU of 3
+  // per receiver hits every message after the first round; an LRU of 2
+  // never does.
+  std::vector<engine::Event> events;
+  for (std::int32_t i = 0; i < 60; ++i) {
+    events.push_back({.source = i % 3, .destination = i % 2, .tag = 0, .bytes = 8});
+  }
+  const adaptive::PolicyStats three = replay_lru_buffers(events, 3);
+  EXPECT_EQ(three.messages, 60);
+  EXPECT_EQ(three.prepost_misses, 6);
+  EXPECT_EQ(three.peak_buffers, 3);
+  EXPECT_EQ(replay_lru_buffers(events, 2).prepost_hits, 0);
 }
 
 // ---------------------------------------------------------------------------

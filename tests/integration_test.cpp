@@ -5,13 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "apps/app.hpp"
 #include "apps/registry.hpp"
 #include "core/evaluate.hpp"
 #include "core/set_prediction.hpp"
+#include "engine/engine.hpp"
+#include "ingest/replay.hpp"
+#include "ingest/source.hpp"
 #include "mpi/world.hpp"
-#include "scale/buffer_manager.hpp"
-#include "scale/rendezvous.hpp"
 #include "trace/csv.hpp"
 #include "trace/stats.hpp"
 #include "trace/stream.hpp"
@@ -107,11 +110,15 @@ TEST(Pipeline, BufferPolicyOnRealTraceSavesMemory) {
   mpi::World world(16, noisy(13));
   (void)apps::run_bt(world, apps::AppConfig{.problem_class = apps::ProblemClass::Toy,
                                             .iterations_override = 20});
-  const auto streams = trace::extract_streams(world.traces(), 5, trace::Level::Physical,
-                                              {.kind = trace::OpKind::PointToPoint});
-  const auto cmp = scale::compare_buffer_policies(streams.senders, 16);
-  EXPECT_GT(cmp.predicted.hit_rate(), 0.6);
-  EXPECT_LT(cmp.predicted.avg_memory_bytes(), 0.7 * cmp.all_pairs.avg_memory_bytes());
+  const auto events = engine::events_from_rank(world.traces(), 5, trace::Level::Physical,
+                                               {.kind = trace::OpKind::PointToPoint});
+  adaptive::RuntimeConfig rt;  // horizon 8
+  rt.policy.lru_keep = 3;
+  const adaptive::PolicyStats predicted = ingest::replay_adaptive(events, rt).stats;
+  const adaptive::PolicyStats all_pairs =
+      ingest::all_pairs_buffers(static_cast<std::int64_t>(events.size()), 16);
+  EXPECT_GT(predicted.hit_rate(), 0.6);
+  EXPECT_LT(predicted.avg_buffers(), 0.7 * all_pairs.avg_buffers());
 }
 
 TEST(Pipeline, RendezvousElisionOnRealLuTrace) {
@@ -120,13 +127,13 @@ TEST(Pipeline, RendezvousElisionOnRealLuTrace) {
   mpi::World world(4, noisy(17));
   (void)apps::run_lu(world, apps::AppConfig{.problem_class = apps::ProblemClass::S,
                                             .iterations_override = 40});
-  const auto streams = trace::extract_streams(world.traces(), 3, trace::Level::Physical);
-  scale::RendezvousConfig cfg;
-  cfg.threshold_bytes = 2000;
-  const auto report = scale::evaluate_rendezvous_elision(streams.senders, streams.sizes, cfg);
-  ASSERT_GT(report.long_messages, 0);
-  EXPECT_GT(report.elision_rate(), 0.5);
-  EXPECT_GT(report.speedup(), 1.0);
+  const auto events = engine::events_from_rank(world.traces(), 3, trace::Level::Physical);
+  adaptive::RuntimeConfig rt;
+  rt.service.engine = engine::EngineConfig{};
+  rt.policy.rendezvous_threshold_bytes = 2000;
+  const adaptive::PolicyStats stats = ingest::replay_adaptive(events, rt).stats;
+  ASSERT_GT(stats.rendezvous_sends + stats.rendezvous_elided, 0);
+  EXPECT_GT(stats.elision_rate(), 0.5);
 }
 
 TEST(Pipeline, TraceRoundTripPreservesEvaluation) {
@@ -137,8 +144,9 @@ TEST(Pipeline, TraceRoundTripPreservesEvaluation) {
 
   std::stringstream ss;
   trace::write_csv(ss, world.traces());
-  const auto reloaded = trace::read_csv(ss, 4);
-  const auto after = trace::extract_streams(reloaded, 2, trace::Level::Logical);
+  const auto reloaded = ingest::open_trace_stream(ss);
+  ASSERT_NE(reloaded->store(), nullptr);
+  const auto after = trace::extract_streams(*reloaded->store(), 2, trace::Level::Logical);
 
   EXPECT_EQ(before.senders, after.senders);
   EXPECT_EQ(before.sizes, after.sizes);

@@ -176,6 +176,12 @@ TEST(Rng, DeriveSeedSeparatesStreams) {
 
 // --------------------------------------------------------------- network --
 
+TEST(Network, FirstOrderPricingOfDirectAndAskFirstMessages) {
+  const NetworkConfig net;  // 20 us latency, 10 ns per byte
+  EXPECT_DOUBLE_EQ(net.direct_ns(1000), 30'000.0);
+  EXPECT_DOUBLE_EQ(net.handshake_ns(1000) - net.direct_ns(1000), 2.0 * to_ns(net.latency));
+}
+
 TEST(Network, BaseTimingWithoutNoise) {
   NetworkConfig cfg;
   cfg.send_overhead = SimTime{1000};
